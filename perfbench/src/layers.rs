@@ -30,7 +30,7 @@ const MERGE_CYCLES: usize = 6;
 const SCAN_LEN: u64 = 1024;
 /// Entries appended and then expired per `ShardWindow` expiry pass.
 const EXPIRE_CHUNK: usize = 8192;
-/// Tasks per task-ring pass.
+/// Task-sized batches of tuples claimed per task-ring pass.
 const RING_TASKS: u64 = 200_000;
 
 /// What the layer benches need from the workload.
@@ -287,12 +287,13 @@ pub fn window(t: &mut Tracer, inp: &LayerInput, out: &mut Metrics) -> Result<(),
 }
 
 /// One worker's share of task-ring traffic: ingest a task when the ingest
-/// token is free, claim a task, complete it, drain the completed prefix.
-fn ring_worker(ring: &TaskRing, task: usize, claimed_tasks: &AtomicU64) {
+/// token is free, claim up to a task, complete it, drain the completed
+/// prefix; until `target` tuples have been claimed by all workers together.
+fn ring_worker(ring: &TaskRing, task: usize, target: u64, claimed_tuples: &AtomicU64) {
     let mut claimed = Vec::with_capacity(task);
     let mut counters = Default::default();
     let mut seq = 0u64;
-    while claimed_tasks.load(Ordering::Relaxed) < RING_TASKS {
+    while claimed_tuples.load(Ordering::Relaxed) < target {
         if let Some(ingest) = ring.try_ingest() {
             for _ in 0..task {
                 if !ingest.can_push() {
@@ -303,11 +304,14 @@ fn ring_worker(ring: &TaskRing, task: usize, claimed_tasks: &AtomicU64) {
             }
         }
         claimed.clear();
-        if ring.claim(task, &mut claimed, &mut counters) > 0 {
+        // The tail is published tuple by tuple, so a claim can take part of
+        // a task; counting tuples keeps 1 and 2 workers in the same unit.
+        let n = ring.claim(task, &mut claimed, &mut counters);
+        if n > 0 {
             for c in &claimed {
                 ring.complete(c.gid, 1, Vec::new());
             }
-            claimed_tasks.fetch_add(1, Ordering::Relaxed);
+            claimed_tuples.fetch_add(n as u64, Ordering::Relaxed);
         }
         ring.try_drain(false, |count, _| {
             black_box(count);
@@ -316,28 +320,30 @@ fn ring_worker(ring: &TaskRing, task: usize, claimed_tasks: &AtomicU64) {
 }
 
 /// Task-ring push → claim → complete → drain cycles at one worker and at
-/// the engine's worker count, as worker-nanoseconds per task.
+/// the engine's worker count, as worker-nanoseconds per task's worth of
+/// claimed tuples (`task_size` of them).
 pub fn ring(t: &mut Tracer, inp: &LayerInput, out: &mut Metrics) -> Result<(), String> {
     let workers = inp.threads;
     for _ in 0..PASSES {
         for (span, threads) in [("ring.cycle_1t", 1), ("ring.cycle_2t", workers)] {
             let ring = TaskRing::with_capacity(inp.ring_capacity());
             let claimed = AtomicU64::new(0);
+            let target = RING_TASKS * inp.task_size as u64;
             t.span(span, RING_TASKS, |_| {
                 std::thread::scope(|scope| {
                     for _ in 0..threads {
-                        scope.spawn(|| ring_worker(&ring, inp.task_size, &claimed));
+                        scope.spawn(|| ring_worker(&ring, inp.task_size, target, &claimed));
                     }
                 });
             });
             let done = claimed.load(Ordering::Relaxed);
-            if done < RING_TASKS {
-                return Err(format!("ring pass claimed {done} of {RING_TASKS} tasks"));
+            if done < target {
+                return Err(format!("ring pass claimed {done} of {target} tuples"));
             }
         }
     }
-    // A pass's span covers RING_TASKS tasks spread over `threads` workers;
-    // scale by the worker count to get worker time per task.
+    // A pass's span covers RING_TASKS tasks' worth of tuples spread over
+    // `threads` workers; scale by the worker count to get worker time.
     out.push(("ring.cycle_ns_1t", per_op(t, "ring.cycle_1t")));
     out.push((
         "ring.cycle_ns_2t",

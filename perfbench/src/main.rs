@@ -41,14 +41,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pimtree_common::{JoinConfig, LatencyHistogram, TelemetryMode};
+use pimtree_common::{JoinConfig, TelemetryMode};
 use pimtree_join::JoinRunStats;
 use pimtree_telemetry::StallCause;
 
 use engine::{run_checked, Checked, Failure, RunKind};
-use stats::{median, trimmed_mean};
+use stats::{median, quantile};
 use trace::Tracer;
-use workload::{Stream, Workload};
+use workload::{Stream, Workload, MEASURED};
 
 /// A seed reserved for confirming a claimed gain after tuning on others.
 const CONFIRM_SEED: u64 = 1_000_003;
@@ -85,8 +85,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.ok_or("--seed is required")?,
-        seconds: seconds.unwrap_or(20),
-        trace: trace.unwrap_or(false),
+        seconds: seconds.ok_or("--seconds is required")?,
+        trace: trace.ok_or("--trace is required")?,
     })
 }
 
@@ -152,175 +152,114 @@ fn mtps(stats: &JoinRunStats) -> f64 {
     stats.million_tuples_per_second()
 }
 
-/// Peak resident set size of this process in MB (`VmHWM`).
-fn peak_rss_mb() -> Result<f64, String> {
+/// A `kB` field of `/proc/self/status`, in MB.
+fn proc_status_mb(field: &str) -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status").map_err(|e| e.to_string())?;
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map(|kb| kb / 1024.0)
-        .ok_or_else(|| "no VmHWM in /proc/self/status".into())
+        .ok_or_else(|| format!("no {field} in /proc/self/status"))
 }
 
-/// Measured tuples and measured seconds of the runs of one kind.
-#[derive(Default)]
-struct Pooled {
-    tuples: u64,
-    secs: f64,
+/// Resets this process's peak resident set size (`VmHWM`) to its current
+/// size and returns that size in MB, so that a later `VmHWM` minus it is
+/// what an engine run added on top of the generated input.
+fn reset_peak_rss_mb() -> Result<f64, String> {
+    std::fs::write("/proc/self/clear_refs", "5").map_err(|e| format!("resetting VmHWM: {e}"))?;
+    proc_status_mb("VmRSS")
 }
 
-impl Pooled {
-    fn add(&mut self, stats: &JoinRunStats) {
-        self.tuples += stats.tuples;
-        self.secs += stats.elapsed.as_secs_f64();
-    }
-
-    fn rate(&self) -> Option<f64> {
-        (self.tuples > 0).then(|| self.tuples as f64 / self.secs)
-    }
-}
-
-/// Timed runs: rounds of (closed loop 2 workers, closed loop 1 worker) until
-/// the next round would pass `seconds`; every other round adds an open-loop
-/// run at 2 workers, which checks that the workload's fixed offer is
-/// sustained.
+/// Timed runs: rounds of (closed loop 2 workers, closed loop 1 worker) while
+/// another round and the open-loop run still fit in `seconds`, then one
+/// open-loop run at 2 workers, which checks that the workload's fixed offer
+/// is sustained.
 ///
-/// Throughput pools all runs of its kind: tuples over measured seconds. On
-/// a 2-vCPU VM the host switched between a fast and a slow regime every
-/// 20-40 s, about 1.4x apart; a median over runs then jumps between the
-/// regimes, while a pooled figure moves with the share of time spent in
-/// each. Set-up time is a median over the 2-worker runs.
+/// On a 2-vCPU VM the host switched between speed regimes about 1.4x apart
+/// every 20-40 s, paused the vCPUs for 2-13 ms at a time, and for spells of
+/// minutes slowed 2-worker runs below the 1-worker rate. Interference only
+/// ever makes a run slower, so each figure is taken from the fast end of its
+/// runs: throughput is the upper quartile of the 2-worker runs' rates, the
+/// speedup is the ratio of the 2-worker and 1-worker upper quartiles, and
+/// set-up time is the lower quartile of the 2-worker runs' set-up times.
+/// The 1-worker throughput and the open-loop latencies are printed but not
+/// reported: the open-loop p50 moved 2x with the host's regime, and the p99
+/// of a run fell inside the host's pauses or not and ranged over 10x between
+/// runs of the same code.
 ///
-/// The 1-worker baseline is reported as the speedup of 2 workers over it:
-/// the two closed-loop runs of a round are seconds apart, so the host's
-/// regime cancels in their ratio (10-run spread 0.07-0.10 on uniform_w14,
-/// against 0.17-0.25 for the 1-worker throughput alone). The speedup is the
-/// trimmed mean of the rounds' ratios, so one run caught in a 5 s slowdown
-/// does not set it. The 1-worker throughput and the open-loop latencies
-/// are printed but not reported: the open-loop p50 moved 2x with the host's
-/// regime, and the host paused the vCPUs for 2-13 ms at a time, 0.3-2 % of
-/// the time, so the p99 of one run fell inside those pauses or not and
-/// ranged over 10x between runs of the same code.
+/// Peak RSS is what the first 2-worker run added to the process's resident
+/// memory at its peak, on top of the input. It is read once because memory
+/// stays resident after a run ends: over six uniform_w14 runs the resident
+/// size between runs grew from 27 to 60 MB while each run added about
+/// 20 MB at its peak, so a later run's peak depends on what earlier runs
+/// left behind.
 fn timed(args: &Args, stream: &Arc<Stream>, expected: u64, tally: &mut Tally) -> Vec<Metric> {
     let wl = args.workload;
+    let rss_baseline = reset_peak_rss_mb();
     let kind = |threads, open_loop| RunKind {
         threads,
         open_loop,
         telemetry: TelemetryMode::Off,
     };
-    let kinds = [
-        ("closed_2t", kind(THREADS, false)),
-        ("closed_1t", kind(1, false)),
-        ("open_2t", kind(THREADS, true)),
-    ];
     let deadline = Instant::now() + Duration::from_secs(args.seconds);
-    let (mut closed_2t, mut closed_1t, mut open) =
-        (Pooled::default(), Pooled::default(), Pooled::default());
-    let mut latency = LatencyHistogram::new();
-    let (mut setups, mut rss) = (Vec::new(), None);
-    let (mut speedups, mut longest_round) = (Vec::new(), Duration::ZERO);
-    'rounds: for round in 0.. {
+    let (mut two, mut one, mut setups) = (Vec::new(), Vec::new(), Vec::new());
+    let mut rss: Option<Result<f64, String>> = None;
+    let mut longest_round = Duration::ZERO;
+    'rounds: loop {
         let round_start = Instant::now();
-        let (mut two, mut one) = (None, None);
-        for (label, kind) in kinds {
-            if kind.open_loop && round % 2 == 1 {
-                continue;
-            }
-            let Some(run) = tally.record(label, run_checked(wl, stream, expected, kind)) else {
+        for (label, threads, rates) in
+            [("closed_2t", THREADS, &mut two), ("closed_1t", 1, &mut one)]
+        {
+            let outcome = run_checked(wl, stream, expected, kind(threads, false));
+            let Some(run) = tally.record(label, outcome) else {
                 if tally.hung {
                     break 'rounds;
                 }
                 continue;
             };
-            // Peak RSS through the first engine run: input, oracle and one
-            // engine instance. Later runs only add allocator reuse noise.
-            rss.get_or_insert_with(peak_rss_mb);
-            let stats = &run.stats;
-            print!(
-                "# run {label}: {:.4} Mtuples/s, setup {:.4} s, {} results",
-                mtps(stats),
-                run.setup.as_secs_f64(),
-                stats.results
+            let setup = run.setup.as_secs_f64();
+            println!(
+                "# run {label}: {:.4} Mtuples/s, setup {setup:.4} s, {} results",
+                mtps(&run.stats),
+                run.stats.results
             );
-            match label {
-                "closed_2t" => {
-                    closed_2t.add(stats);
-                    two = Some(mtps(stats));
-                }
-                "closed_1t" => {
-                    closed_1t.add(stats);
-                    one = Some(mtps(stats));
-                }
-                _ => open.add(stats),
+            rates.push(mtps(&run.stats));
+            if threads == THREADS {
+                setups.push(setup);
+                rss.get_or_insert_with(|| Ok(proc_status_mb("VmHWM")? - rss_baseline.clone()?));
             }
-            if kind.threads == THREADS {
-                setups.push(run.setup.as_secs_f64());
-            }
-            if kind.open_loop {
-                let hist = stats
-                    .arrival_latency
-                    .as_ref()
-                    .expect("checked open-loop run");
-                latency.merge_from(hist);
-                // How far the last propagation trailed the last arrival.
-                let lag = stats.elapsed.as_secs_f64() - stats.tuples as f64 / wl.offered_tps;
-                let quantiles: Vec<String> = [0.5, 0.9, 0.99, 0.999]
-                    .iter()
-                    .map(|&q| format!("p{}={:.1}", q * 100.0, hist.percentile_micros(q)))
-                    .collect();
-                print!(
-                    ", achieved {:.0}/s, generator lag {:.3} ms, latency us {} max={:.1}",
-                    mtps(stats) * 1e6,
-                    lag * 1e3,
-                    quantiles.join(" "),
-                    hist.max_micros()
-                );
-            }
-            println!();
-        }
-        if let (Some(two), Some(one)) = (two, one) {
-            speedups.push(two / one);
         }
         longest_round = longest_round.max(round_start.elapsed());
-        if Instant::now() + longest_round > deadline {
+        let open_loop = Duration::from_secs_f64(
+            MEASURED as f64 / wl.offered_tps + setups.iter().copied().fold(0.0, f64::max),
+        );
+        if Instant::now() + longest_round + open_loop > deadline {
             break;
         }
     }
-    if let Some(achieved) = open.rate() {
-        // The backlog check covers all open-loop runs together; it counts as
-        // one attempted operation of its own.
-        println!(
-            "# open loop: offered {:.0}/s, achieved {achieved:.0}/s; latency (not reported) from {} samples: p50 {:.2} us, p99 {:.1} us",
-            wl.offered_tps,
-            latency.len(),
-            latency.p50_micros(),
-            latency.p99_micros()
-        );
-        tally.attempted += 1;
-        if achieved < engine::MIN_ACHIEVED_SHARE * wl.offered_tps {
-            tally.failed += 1;
-            tally.errors.push(format!(
-                "open loop achieved {achieved:.0} of {:.0} tuples/s: the backlog grew",
-                wl.offered_tps
-            ));
-        }
+    if !tally.hung {
+        open_loop_check(wl, stream, expected, kind(THREADS, true), tally);
     }
     let mut out = Vec::new();
-    if let Some(two) = closed_2t.rate() {
-        out.push(end_to_end("throughput_mtps", two / 1e6));
+    if !two.is_empty() {
+        out.push(end_to_end("throughput_mtps", quantile(&two, 0.75)));
     }
-    if let Some(one) = closed_1t.rate() {
+    if !one.is_empty() {
         println!(
-            "# 1-worker throughput (not reported): {:.4} Mtuples/s",
-            one / 1e6
+            "# 1-worker throughput (not reported): upper quartile {:.4} Mtuples/s of {} runs",
+            quantile(&one, 0.75),
+            one.len()
         );
     }
-    if !speedups.is_empty() {
-        out.push(end_to_end("speedup_2t_over_1t", trimmed_mean(&speedups)));
+    if !two.is_empty() && !one.is_empty() {
+        out.push(end_to_end(
+            "speedup_2t_over_1t",
+            quantile(&two, 0.75) / quantile(&one, 0.75),
+        ));
     }
     if !setups.is_empty() {
-        out.push(end_to_end("setup_s", median(&setups)));
+        out.push(end_to_end("setup_s", quantile(&setups, 0.25)));
     }
     match rss {
         Some(Ok(mb)) => out.push(end_to_end("peak_rss_mb", mb)),
@@ -328,6 +267,54 @@ fn timed(args: &Args, stream: &Arc<Stream>, expected: u64, tally: &mut Tally) ->
         None => {}
     }
     out
+}
+
+/// One open-loop run at the workload's fixed offer. Besides the run itself,
+/// the check that it achieved the offered rate (no growing backlog) counts
+/// as one attempted operation.
+fn open_loop_check(
+    wl: Workload,
+    stream: &Arc<Stream>,
+    expected: u64,
+    kind: RunKind,
+    tally: &mut Tally,
+) {
+    let Some(run) = tally.record("open_2t", run_checked(wl, stream, expected, kind)) else {
+        return;
+    };
+    let stats = &run.stats;
+    let hist = stats
+        .arrival_latency
+        .as_ref()
+        .expect("checked open-loop run");
+    let achieved = mtps(stats) * 1e6;
+    // How far the last propagation trailed the last arrival.
+    let lag = stats.elapsed.as_secs_f64() - stats.tuples as f64 / wl.offered_tps;
+    let quantiles: Vec<String> = [0.5, 0.9, 0.99, 0.999]
+        .iter()
+        .map(|&q| format!("p{}={:.1}", q * 100.0, hist.percentile_micros(q)))
+        .collect();
+    println!(
+        "# run open_2t: setup {:.4} s, {} results; offered {:.0}/s, achieved {achieved:.0}/s, generator lag {:.3} ms",
+        run.setup.as_secs_f64(),
+        stats.results,
+        wl.offered_tps,
+        lag * 1e3
+    );
+    println!(
+        "# open-loop latency (not reported) from {} samples, us: {} max={:.1}",
+        hist.len(),
+        quantiles.join(" "),
+        hist.max_micros()
+    );
+    tally.attempted += 1;
+    if achieved < engine::MIN_ACHIEVED_SHARE * wl.offered_tps {
+        tally.failed += 1;
+        tally.errors.push(format!(
+            "open loop achieved {achieved:.0} of {:.0} tuples/s: the backlog grew",
+            wl.offered_tps
+        ));
+    }
 }
 
 /// When a per-layer metric must be non-zero: a zero there means the
@@ -425,9 +412,14 @@ fn engine_metrics(stats: &JoinRunStats, threads: usize, out: &mut layers::Metric
 
 /// Share of the workers' measured time that layer cost × the engine's
 /// operation counts accounts for: every measured tuple is one window
-/// append, one index insert and one probe; every claim is one ring cycle;
-/// every merge one PIM merge.
-fn layer_coverage(layer: &layers::Metrics, stats: &JoinRunStats, threads: usize) -> f64 {
+/// append, one index insert and one probe; every `task_size` claimed tuples
+/// are one ring cycle; every merge is one PIM merge.
+fn layer_coverage(
+    layer: &layers::Metrics,
+    stats: &JoinRunStats,
+    threads: usize,
+    task_size: usize,
+) -> f64 {
     let get = |name: &str| {
         layer
             .iter()
@@ -441,7 +433,7 @@ fn layer_coverage(layer: &layers::Metrics, stats: &JoinRunStats, threads: usize)
         get("ring.cycle_ns_1t")
     };
     let modelled = stats.tuples as f64 * per_tuple
-        + stats.ring.tasks_acquired as f64 * cycle
+        + stats.ring.tuples_acquired as f64 / task_size as f64 * cycle
         + stats.merges as f64 * get("core.merge_ms") * 1e6;
     modelled / (threads as f64 * stats.elapsed.as_nanos() as f64)
 }
@@ -488,7 +480,7 @@ fn traced(
         telemetry,
     };
     let (mut plain, mut counted) = (Vec::new(), Vec::<JoinRunStats>::new());
-    let measured = (stream.tuples.len() - stream.warmup) as u64;
+    let measured = MEASURED as u64;
     tracer.span("layer.engine", 0, |t| loop {
         let round_start = Instant::now();
         for (span, mode) in [
@@ -524,7 +516,7 @@ fn traced(
     layer.push(("telemetry.overhead", median(&plain) / traced_mtps));
     layer.push((
         "model.layer_coverage",
-        layer_coverage(&layer, typical, THREADS),
+        layer_coverage(&layer, typical, THREADS, config.task_size),
     ));
 
     let feature_ran = |guard: Guard| match guard {

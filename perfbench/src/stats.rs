@@ -3,31 +3,20 @@
 /// Median of `values` (mean of the middle two for an even count); 0 when
 /// empty.
 pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+/// The `q` quantile of `values` (0 <= q <= 1), interpolating linearly
+/// between the two nearest ranks; 0 when empty.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
-}
-
-/// Mean of the middle half of `values`: a quarter (rounded down) of them is
-/// dropped from each end. 0 when empty.
-pub fn trimmed_mean(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let cut = v.len() / 4;
-    let kept = &v[cut..v.len() - cut];
-    if kept.is_empty() {
-        0.0
-    } else {
-        kept.iter().sum::<f64>() / kept.len() as f64
-    }
+    let rank = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (rank - lo as f64)
 }
 
 #[cfg(test)]
@@ -42,10 +31,11 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_mean_drops_a_quarter_from_each_end() {
-        assert_eq!(trimmed_mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(trimmed_mean(&[100.0, 2.0, 3.0, 1.0, 4.0]), 3.0);
-        assert_eq!(trimmed_mean(&[9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0]), 3.5);
-        assert_eq!(trimmed_mean(&[]), 0.0);
+    fn quantile_interpolates_between_ranks() {
+        assert_eq!(quantile(&[3.0, 1.0, 2.0], 0.5), 2.0);
+        assert_eq!(quantile(&[4.0, 1.0, 3.0, 2.0], 0.25), 1.75);
+        assert_eq!(quantile(&[4.0, 1.0, 3.0, 2.0], 0.75), 3.25);
+        assert_eq!(quantile(&[5.0], 0.75), 5.0);
+        assert_eq!(quantile(&[], 0.25), 0.0);
     }
 }

@@ -22,14 +22,14 @@ const MATCH_RATE: f64 = 2.0;
 const DRIFT_SHIFT: i64 = 2_000_000_000;
 /// Window tuples moved per incremental handoff step on the drift workload.
 const HANDOFF_BUDGET: usize = 512;
+/// Measured tuples per run (after the window-fill warmup).
+pub const MEASURED: usize = 1_000_000;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Workload {
     pub name: &'static str,
     /// Tuples per window, per side.
     pub window: usize,
-    /// Measured tuples per run (after the window-fill warmup).
-    pub measured: usize,
     /// Fixed open-loop offer in tuples per second; the same on every commit.
     /// Low enough that the slowest spells seen on a 2-vCPU VM, with 2-worker
     /// throughput down to a third of its usual rate for minutes, did not
@@ -44,21 +44,18 @@ pub const WORKLOADS: [Workload; 3] = [
     Workload {
         name: "uniform_w14",
         window: 1 << 14,
-        measured: 1_000_000,
         offered_tps: 300_000.0,
         shards: 1,
     },
     Workload {
         name: "uniform_w18",
         window: 1 << 18,
-        measured: 1_000_000,
         offered_tps: 200_000.0,
         shards: 1,
     },
     Workload {
         name: "drift_w16_migrate",
         window: 1 << 16,
-        measured: 1_000_000,
         offered_tps: 200_000.0,
         shards: 2,
     },
@@ -88,7 +85,7 @@ impl Workload {
 
     pub fn generate(&self, seed: u64) -> Stream {
         let warmup = 2 * self.window;
-        let n = warmup + self.measured;
+        let n = warmup + MEASURED;
         let dist = KeyDistribution::uniform();
         let diff = calibrate_diff(dist, self.window, MATCH_RATE, seed);
         let mut rng = StdRng::seed_from_u64(seed);
