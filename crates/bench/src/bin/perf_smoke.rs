@@ -3,10 +3,7 @@
 //!
 //! Runs the uniform two-way workload through the parallel IBWJ at 1/2/4/8
 //! worker threads — the PIM-Tree backend with the batched CSS group probe,
-//! the scalar probe path and the AMAC interleaved descent ring (widths 4
-//! and 8 by default; `--interleave=` pins one), and the Bw-Tree backend for
-//! reference —
-//! plus a sharded-ring sweep (key-range routed shards with cross-shard
+//! and the Bw-Tree backend for reference — plus a sharded-ring sweep (key-range routed shards with cross-shard
 //! stealing), a partitioned-store sweep (the same shard counts with the
 //! per-shard index/window store on, against the shared-store arm as its
 //! baseline), and a drifting-skew sweep whose key range shifts mid-stream —
@@ -18,18 +15,16 @@
 //! The JSON records its provenance (host core count, the simulated NUMA node
 //! count of the sharded arm, architecture, OS, the detected SIMD level of
 //! the intra-node search, and the full
-//! engine/ring/probe/shard configuration), so trajectories from different
-//! hosts — in particular the 1-core build container versus a real multicore
-//! box — are never silently compared as equals.
+//! engine/ring/probe/shard configuration), so trajectories from hosts with
+//! different core counts are never silently compared as equals. It is a
+//! smoke test of the engine's counters and a coarse trajectory, not the
+//! source of end-to-end performance claims — those come from `perfbench`.
 //!
 //! Accepts the shared harness flags (`--max-exp= --tuples= --task-size=
 //! --ring-cap= --spin= --yield= --park-us= --prefetch-dist= --seed=
 //! --shards= --steal-batch= --steal-threshold=`); the defaults keep the run
-//! under a couple of minutes on a laptop core. The batched-vs-scalar probe
-//! comparison is built in, so unlike the other binaries perf_smoke ignores
-//! `--probe-batch=` (both arms always run); `--prefetch-dist=` tunes the
-//! batched arm. `--shards=` pins the sharded sweep to one shard count
-//! (default: sweep 1/2/4). The drift sweep always runs both repartition
+//! under a couple of minutes on a laptop core. `--shards=` pins the sharded
+//! sweep to one shard count (default: sweep 1/2/4). The drift sweep always runs both repartition
 //! arms at every swept shard count above 1; `--drift-window=`,
 //! `--drift-trigger=` and `--drift-cost-gate=` tune its monitor.
 //!
@@ -54,13 +49,11 @@ use pimtree_workload::KeyDistribution;
 fn entry_json(backend: &str, probe: ProbeConfig, threads: usize, stats: &JoinRunStats) -> String {
     format!(
         concat!(
-            "    {{\"backend\": \"{}\", \"probe_batch\": {}, \"prefetch_dist\": {}, ",
-            "\"interleave\": {}, ",
+            "    {{\"backend\": \"{}\", \"prefetch_dist\": {}, ",
             "\"threads\": {}, \"shards\": {}, \"mtps\": {:.4}, \"results\": {}, ",
             "\"mean_latency_us\": {:.2}, \"claim_retries_per_task\": {:.4}, ",
             "\"merges\": {}, \"probe_batches\": {}, \"mean_probe_batch\": {:.2}, ",
             "\"probe_dedup_rate\": {:.4}, \"nodes_prefetched\": {}, ",
-            "\"interleaved_batches\": {}, \"mean_descent_steps\": {:.2}, ",
             "\"simd_node_searches\": {}, ",
             "\"scalar_probes\": {}, \"steals\": {}, \"stolen_tuples\": {}, ",
             "\"steal_fraction\": {:.4}, \"shard_remote_fraction\": {:.4}, ",
@@ -80,9 +73,7 @@ fn entry_json(backend: &str, probe: ProbeConfig, threads: usize, stats: &JoinRun
             "\"insert\": {:.2}, \"delete\": {:.2}, \"merge\": {:.2}}}}}"
         ),
         backend,
-        probe.batch,
         probe.prefetch_dist,
-        probe.interleave,
         threads,
         stats.shard.shards.max(1),
         stats.million_tuples_per_second(),
@@ -94,8 +85,6 @@ fn entry_json(backend: &str, probe: ProbeConfig, threads: usize, stats: &JoinRun
         stats.probe.mean_batch_size(),
         stats.probe.dedup_rate(),
         stats.probe.nodes_prefetched,
-        stats.probe.interleaved_batches,
-        stats.probe.mean_descent_steps(),
         stats.probe.simd_node_searches,
         stats.probe.scalar_probes,
         stats.shard.steal_tasks,
@@ -157,58 +146,28 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let batched = opts.probe().with_batch(true).with_interleave(0);
-    let scalar = ProbeConfig::scalar();
-    // `--interleave=` pins the AMAC ring-width sweep to one value (the way
-    // `--shards=` pins the shard sweep); the automatic default (0) sweeps a
-    // narrow and a deep ring against the level-synchronous batched descent.
-    let interleave_widths: Vec<usize> = if opts.interleave >= 2 {
-        vec![opts.interleave]
-    } else {
-        vec![4, 8]
-    };
-    let mut probe_arms: Vec<(String, ProbeConfig)> = vec![
-        ("batched".to_string(), batched),
-        ("scalar".to_string(), scalar),
-    ];
-    for &k in &interleave_widths {
-        probe_arms.push((format!("interleaved{k}"), batched.with_interleave(k)));
-    }
+    let batched = opts.probe();
     let mut entries = Vec::new();
-    // 1-thread Mtps per probe arm; [0] = batched, [1] = scalar, then the
-    // interleaved ring widths in sweep order.
-    let mut mtps_1t = vec![0.0f64; probe_arms.len()];
-    let mut best_interleaved_1t = 0.0f64;
-    // PIM-Tree backend: batched group probe versus the scalar probe path
-    // versus the AMAC interleaved descent ring.
-    for (mode, (name, probe)) in probe_arms.iter().enumerate() {
-        let probe = *probe;
-        for threads in [1usize, 2, 4, 8] {
-            let stats = run_parallel_ring(
-                SharedIndexKind::PimTree,
-                w,
-                w,
-                threads,
-                opts.task_size,
-                pim_config(w),
-                opts.ring(),
-                probe,
-                predicate,
-                &tuples,
-                false,
-            );
-            if threads == 1 {
-                mtps_1t[mode] = stats.million_tuples_per_second();
-                if probe.interleave >= 2 {
-                    best_interleaved_1t = best_interleaved_1t.max(mtps_1t[mode]);
-                }
-            }
-            println!(
-                "perf_smoke pim_tree probe={name} threads={threads}: {:.4} Mtps",
-                stats.million_tuples_per_second()
-            );
-            entries.push(entry_json("pim_tree", probe, threads, &stats));
-        }
+    // PIM-Tree backend: the batched group probe.
+    for threads in [1usize, 2, 4, 8] {
+        let stats = run_parallel_ring(
+            SharedIndexKind::PimTree,
+            w,
+            w,
+            threads,
+            opts.task_size,
+            pim_config(w),
+            opts.ring(),
+            batched,
+            predicate,
+            &tuples,
+            false,
+        );
+        println!(
+            "perf_smoke pim_tree threads={threads}: {:.4} Mtps",
+            stats.million_tuples_per_second()
+        );
+        entries.push(entry_json("pim_tree", batched, threads, &stats));
     }
     // Bw-Tree backend for reference (it has no batched probe path).
     for threads in [1usize, 2, 4, 8] {
@@ -441,23 +400,6 @@ fn main() {
          ({counters_vs_off:.4}x after {overhead_rounds} interleaved rounds)"
     );
 
-    let speedup_1t = if mtps_1t[1] > 0.0 {
-        mtps_1t[0] / mtps_1t[1]
-    } else {
-        0.0
-    };
-    println!("perf_smoke pim_tree batched/scalar speedup at 1T: {speedup_1t:.3}x");
-    let interleaved_vs_batched_1t = if mtps_1t[0] > 0.0 {
-        best_interleaved_1t / mtps_1t[0]
-    } else {
-        0.0
-    };
-    println!(
-        "perf_smoke pim_tree interleaved/batched speedup at 1T: \
-         {interleaved_vs_batched_1t:.3}x (simd {})",
-        simd::active_level().label()
-    );
-
     let ring = opts.ring();
     let shard = opts.shard();
     let drift = opts.drift();
@@ -473,18 +415,11 @@ fn main() {
             "  \"engine\": {{\"merge_policy\": \"non_blocking\", ",
             "\"ring\": {{\"capacity\": {}, \"ingest_target\": {}, \"spin\": {}, ",
             "\"yield\": {}, \"park_us\": {}}}, ",
-            "\"probe\": {{\"batch\": {}, \"prefetch_dist\": {}, ",
-            "\"interleave_swept\": {:?}}}, ",
+            "\"probe\": {{\"prefetch_dist\": {}}}, ",
             "\"shard\": {{\"shards_swept\": {:?}, \"steal_batch\": {}, ",
             "\"steal_threshold\": {}, \"partition_index_swept\": true}}, ",
             "\"drift\": {{\"repartition_swept\": {}, \"window\": {}, ",
             "\"imbalance_trigger\": {:.2}, \"cost_gate\": {:.2}}}}},\n",
-            "  \"batched_vs_scalar_1t_speedup\": {:.4},\n",
-            "  \"interleaved_vs_batched_1t_speedup\": {:.4},\n",
-            "  \"interleave_caveat\": \"best interleaved ring width at 1 thread ",
-            "vs the batched descent; AMAC gains come from overlapping cache ",
-            "misses, so re-measure on a multicore host whose index spills ",
-            "past LLC before reading this as the paper's figure\",\n",
             "  \"telemetry_overhead\": {{\"counters_vs_off\": {:.4}, ",
             "\"full_vs_off\": {:.4}, \"rounds\": {}}},\n",
             "  \"results\": [\n{}\n  ]\n",
@@ -503,9 +438,7 @@ fn main() {
         ring.spin_limit,
         ring.yield_limit,
         ring.park_micros,
-        batched.batch,
         batched.prefetch_dist,
-        interleave_widths,
         shard_counts,
         shard.steal_batch,
         shard.steal_threshold,
@@ -513,8 +446,6 @@ fn main() {
         drift.window,
         drift.imbalance_trigger,
         drift.cost_gate,
-        speedup_1t,
-        interleaved_vs_batched_1t,
         counters_vs_off,
         full_vs_off,
         overhead_rounds,

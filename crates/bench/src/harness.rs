@@ -39,13 +39,8 @@ pub struct RunOpts {
     pub yield_limit: u32,
     /// Idle back-off: park duration in microseconds (0 = never park).
     pub park_micros: u64,
-    /// Whether result generation uses the batched CSS group probe.
-    pub probe_batch: bool,
     /// Prefetch distance of the batched probe (keys of lookahead per level).
     pub prefetch_dist: usize,
-    /// AMAC interleave width: in-flight descents per worker (0 = off, use
-    /// the level-synchronous batched descent).
-    pub interleave: usize,
     /// Ring shards (simulated NUMA nodes) for the parallel engine. `0` means
     /// automatic (the single-ring engine; `perf_smoke` additionally sweeps
     /// its default shard counts); an explicit value — including 1 — pins the
@@ -86,8 +81,7 @@ pub struct RunOpts {
 impl RunOpts {
     /// Parses `--min-exp= --max-exp= --tuples= --threads= --task-size=
     /// --seed= --ring-cap= --ingest-target= --spin= --yield= --park-us=
-    /// --probe-batch=on|off --prefetch-dist= --interleave= --shards=
-    /// --steal-batch=
+    /// --prefetch-dist= --shards= --steal-batch=
     /// --steal-threshold= --partition-index=on|off --repartition=on|off
     /// --drift-window= --drift-trigger= --drift-cost-gate=
     /// --telemetry=off|counters|full --telemetry-interval=ms` from the
@@ -96,7 +90,6 @@ impl RunOpts {
     /// [`telemetry_out_from_args`].
     pub fn parse(default_min: u32, default_max: u32) -> Self {
         let defaults = RingConfig::default();
-        let probe_defaults = ProbeConfig::default();
         let shard_defaults = ShardConfig::default();
         let drift_defaults = DriftConfig::default();
         let mut opts = RunOpts {
@@ -114,9 +107,7 @@ impl RunOpts {
             spin_limit: defaults.spin_limit,
             yield_limit: defaults.yield_limit,
             park_micros: defaults.park_micros,
-            probe_batch: probe_defaults.batch,
-            prefetch_dist: probe_defaults.prefetch_dist,
-            interleave: probe_defaults.interleave,
+            prefetch_dist: ProbeConfig::default().prefetch_dist,
             shards: 0,
             steal_batch: shard_defaults.steal_batch,
             steal_threshold: shard_defaults.steal_threshold,
@@ -152,15 +143,7 @@ impl RunOpts {
                 "--spin" => opts.spin_limit = parse_usize() as u32,
                 "--yield" => opts.yield_limit = parse_usize() as u32,
                 "--park-us" => opts.park_micros = parse_usize() as u64,
-                "--probe-batch" => {
-                    opts.probe_batch = match value {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        other => panic!("bad value for --probe-batch: {other} (use on/off)"),
-                    }
-                }
                 "--prefetch-dist" => opts.prefetch_dist = parse_usize(),
-                "--interleave" => opts.interleave = parse_usize(),
                 "--shards" => opts.shards = parse_usize(),
                 "--steal-batch" => opts.steal_batch = parse_usize(),
                 "--steal-threshold" => opts.steal_threshold = parse_usize(),
@@ -249,10 +232,7 @@ impl RunOpts {
 
     /// The batched-probe configuration selected on the command line.
     pub fn probe(&self) -> ProbeConfig {
-        ProbeConfig::default()
-            .with_batch(self.probe_batch)
-            .with_prefetch_dist(self.prefetch_dist)
-            .with_interleave(self.interleave)
+        ProbeConfig::default().with_prefetch_dist(self.prefetch_dist)
     }
 
     /// The sharded-ring configuration selected on the command line
@@ -625,9 +605,7 @@ mod tests {
             spin_limit: 6,
             yield_limit: 16,
             park_micros: 50,
-            probe_batch: true,
             prefetch_dist: 4,
-            interleave: 0,
             shards: 1,
             steal_batch: 0,
             steal_threshold: 1,
@@ -661,15 +639,11 @@ mod tests {
         assert_eq!(ring.spin_limit, 2);
         ring.validate().unwrap();
         let probe = RunOpts {
-            probe_batch: false,
             prefetch_dist: 16,
-            interleave: 8,
             ..opts
         }
         .probe();
-        assert!(!probe.batch);
         assert_eq!(probe.prefetch_dist, 16);
-        assert_eq!(probe.interleave, 8);
         probe.validate().unwrap();
         let shard = RunOpts {
             shards: 4,

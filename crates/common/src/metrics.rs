@@ -144,8 +144,6 @@ pub struct ProbeCounters {
     pub nodes_prefetched: u64,
     /// Probes a batched call had to answer through the scalar one-key path
     /// because the index backend has no batched probe (e.g. the Bw-Tree).
-    /// Stays zero when batching is disabled: the engines then take the
-    /// original scalar code path, which records nothing here.
     pub scalar_probes: u64,
     /// Mutable-partition (`TI`) locks taken by the batched probe path, which
     /// groups a batch's unique ranges per partition so every overlapping
@@ -155,9 +153,9 @@ pub struct ProbeCounters {
     /// difference to `ti_partition_locks` is the number of lock round-trips
     /// the per-partition grouping saved.
     pub ti_range_visits: u64,
-    /// Probe calls answered through the AMAC-style interleaved descent ring
-    /// (one per batch or scalar-path range group that took the interleaved
-    /// engine).
+    /// Calls of the AMAC-style interleaved descent ring
+    /// (`CssTree::lower_bound_interleaved`), a CSS-layer primitive the join
+    /// engines do not call; the interleaved fields stay zero in engine runs.
     pub interleaved_batches: u64,
     /// Root-to-leaf descents resolved by the interleaved engine.
     pub interleaved_descents: u64,

@@ -278,17 +278,12 @@ impl PimTree {
     /// are then visited partition-major, so a partition overlapped by many
     /// ranges is locked once per batch instead of once per range.
     /// `probe.prefetch_dist` is the per-level prefetch lookahead (0 = no
-    /// prefetching); with `probe.interleave >= 2` the level-wise group
-    /// descent is replaced by the AMAC-style interleaved descent ring
-    /// (`CssTree::lower_bound_interleaved`), which overlaps each descent's
-    /// cache miss with the other in-flight descents' compares instead of
-    /// prefetching ahead within a level. `counters` records batch sizes,
-    /// dedup hits, nodes prefetched, interleave/SIMD work and the
-    /// mutable-side lock grouping. A batch of one degenerates to the scalar
-    /// descent (there is nothing to group, dedup or prefetch ahead of),
-    /// skipping the batch bookkeeping entirely; the sort/dedup/cursor
-    /// buffers of larger batches are reused through a per-thread scratch, so
-    /// the steady state allocates nothing.
+    /// prefetching). `counters` records batch sizes, dedup hits, nodes
+    /// prefetched, SIMD work and the mutable-side lock grouping. A batch of
+    /// one degenerates to the scalar descent (there is nothing to group,
+    /// dedup or prefetch ahead of), skipping the batch bookkeeping entirely;
+    /// the sort/dedup/cursor buffers of larger batches are reused through a
+    /// per-thread scratch, so the steady state allocates nothing.
     pub fn probe_batch<F: FnMut(usize, Entry)>(
         &self,
         ranges: &[KeyRange],
@@ -341,23 +336,13 @@ impl PimTree {
             s.targets.clear();
             s.targets
                 .extend(s.uniq.iter().map(|r| Entry::min_for_key(r.lo)));
-            if probe.interleave >= 2 {
-                gen.ts.lower_bound_interleaved(
-                    &s.targets,
-                    probe.interleave,
-                    &mut s.positions,
-                    Some(&mut s.groups),
-                    counters,
-                );
-            } else {
-                gen.ts.lower_bound_batch_groups_counted(
-                    &s.targets,
-                    probe.prefetch_dist,
-                    &mut s.positions,
-                    &mut s.groups,
-                    counters,
-                );
-            }
+            gen.ts.lower_bound_batch_groups_counted(
+                &s.targets,
+                probe.prefetch_dist,
+                &mut s.positions,
+                &mut s.groups,
+                counters,
+            );
         }
         let ti_populated = gen.ti_len.load(Ordering::Relaxed) > 0;
 
@@ -436,108 +421,6 @@ impl PimTree {
                     });
                     k += 1;
                 }
-            }
-        }
-        PROBE_SCRATCH.with(|cell| cell.replace(s));
-    }
-
-    /// Scalar batch probe: answers `ranges` with one scalar descent per range
-    /// — no sorting, deduplication or cross-range prefetching — while still
-    /// *batching the mutable-side partition routing* the way
-    /// [`PimTree::probe_batch`] does. Each range's overlapping partition
-    /// interval is computed up front and the partitions are then visited
-    /// partition-major, so a partition overlapped by several of the task's
-    /// ranges is locked once per call instead of once per range
-    /// (`counters.ti_partition_locks` / `counters.ti_range_visits`; the
-    /// group-descent counters stay untouched, so runs through this path
-    /// remain distinguishable from the batched probe).
-    ///
-    /// Per range, entries arrive exactly as the scalar
-    /// [`PimTree::range_for_each`] would deliver them: the immutable
-    /// component's entries in ascending order, then the overlapping mutable
-    /// partitions in ascending partition order. A batch of one degenerates to
-    /// the scalar probe (there is nothing to group).
-    ///
-    /// With `probe.interleave >= 2` the per-range root-to-leaf descents are
-    /// replaced by one pass of the AMAC-style interleaved descent ring
-    /// (`CssTree::lower_bound_interleaved`) — ranges stay unsorted and
-    /// undeduplicated (this is still the scalar path), but their start
-    /// positions resolve with overlapped cache misses; emission order per
-    /// range is unchanged.
-    pub fn probe_ranges_scalar<F: FnMut(usize, Entry)>(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut ProbeCounters,
-        mut f: F,
-    ) {
-        let n = ranges.len();
-        if n == 0 {
-            return;
-        }
-        let gen = self.current.read();
-        if n == 1 {
-            probe_generation(&gen, ranges[0], &mut |e| f(0, e));
-            return;
-        }
-        // Immutable component first, per range, exactly like the scalar
-        // probe delivers it (one scalar descent per range, by design —
-        // unless interleaving resolves the range starts as a ring).
-        if probe.interleave >= 2 && !gen.ts.is_empty() {
-            let mut s = PROBE_SCRATCH.with(|cell| cell.take());
-            s.targets.clear();
-            s.targets
-                .extend(ranges.iter().map(|r| Entry::min_for_key(r.lo)));
-            gen.ts.lower_bound_interleaved(
-                &s.targets,
-                probe.interleave,
-                &mut s.positions,
-                None,
-                counters,
-            );
-            for (j, &range) in ranges.iter().enumerate() {
-                let mut pos = s.positions[j];
-                while pos < gen.ts.len() {
-                    let e = gen.ts.entry_at(pos);
-                    if e.key > range.hi {
-                        break;
-                    }
-                    f(j, e);
-                    pos += 1;
-                }
-            }
-            PROBE_SCRATCH.with(|cell| cell.replace(s));
-        } else {
-            for (j, &range) in ranges.iter().enumerate() {
-                gen.ts.range_for_each(range, &mut |e| f(j, e));
-            }
-        }
-        if gen.ti_len.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        // Mutable component, partition-major: route every range to its
-        // partition interval, then lock each overlapped partition once and
-        // answer all of its ranges under that one acquisition.
-        let mut s = PROBE_SCRATCH.with(|cell| cell.take());
-        s.pairs.clear();
-        for (j, &range) in ranges.iter().enumerate() {
-            let p_lo = gen.route(Entry::min_for_key(range.lo));
-            let p_hi = gen.route(Entry::max_for_key(range.hi));
-            for p in p_lo..=p_hi {
-                s.pairs.push((p, j));
-            }
-        }
-        counters.ti_range_visits += s.pairs.len() as u64;
-        s.pairs.sort_unstable();
-        let mut k = 0;
-        while k < s.pairs.len() {
-            let p = s.pairs[k].0;
-            let tree = gen.partitions[p].tree.lock();
-            counters.ti_partition_locks += 1;
-            while k < s.pairs.len() && s.pairs[k].0 == p {
-                let j = s.pairs[k].1;
-                tree.range_for_each(ranges[j], |e| f(j, e));
-                k += 1;
             }
         }
         PROBE_SCRATCH.with(|cell| cell.replace(s));
@@ -988,37 +871,10 @@ mod tests {
             counters.nodes_prefetched > 0,
             "distances > 0 must prefetch nodes of the populated TS"
         );
-        assert_eq!(
-            counters.interleaved_batches, 0,
-            "interleave 0 never takes the ring"
+        assert!(
+            counters.simd_node_searches + counters.scalar_node_searches > 0,
+            "the group descent records its intra-node searches"
         );
-        // Interleaved descents answer the same batch identically on both
-        // components, and record their work.
-        for interleave in [2usize, 4, 8] {
-            let mut counters = ProbeCounters::default();
-            for v in batched.iter_mut() {
-                v.clear();
-            }
-            let probe = ProbeConfig::default().with_interleave(interleave);
-            t.probe_batch(&ranges, &probe, &mut counters, |i, e| batched[i].push(e));
-            for (range, got) in ranges.iter().zip(&batched) {
-                let mut scalar = Vec::new();
-                t.range_for_each(*range, |e| scalar.push(e));
-                assert_eq!(got, &scalar, "range {range:?}, interleave {interleave}");
-            }
-            assert_eq!(counters.interleaved_batches, 1);
-            assert_eq!(
-                counters.interleaved_descents,
-                ranges.len() as u64 - 1,
-                "the duplicate range shares one descent"
-            );
-            assert!(counters.interleave_steps >= counters.interleaved_descents);
-            assert_eq!(
-                counters.simd_node_searches + counters.scalar_node_searches,
-                counters.interleave_steps,
-                "each ring step performs exactly one node search"
-            );
-        }
     }
 
     #[test]
@@ -1041,6 +897,7 @@ mod tests {
             KeyRange::new(100, 700), // overlaps the first range's partitions
             KeyRange::new(100, 700), // duplicate: shares the first's descent
             KeyRange::new(1500, 2047), // disjoint partition interval
+            KeyRange::new(-50, -1),  // below the domain
             KeyRange::point(650),
         ];
         let mut counters = ProbeCounters::default();
@@ -1066,89 +923,6 @@ mod tests {
             counters.ti_partition_locks,
             counters.ti_range_visits
         );
-    }
-
-    #[test]
-    fn scalar_ranges_probe_matches_scalar_and_batches_partition_locks() {
-        // Mirror of `batched_ti_probe_locks_each_partition_once_per_batch`
-        // for the scalar path: per-range descents, but the TI partitions are
-        // still locked once per call.
-        let t = PimTree::new(config(2048, 1.0, 3));
-        for i in 0..2048i64 {
-            t.insert(i, i as Seq);
-        }
-        t.merge(0);
-        assert!(t.partition_count() > 4);
-        for i in 2048..2560i64 {
-            t.insert(i - 2048, i as Seq);
-        }
-        let ranges = [
-            KeyRange::new(0, 600),
-            KeyRange::new(100, 700),
-            KeyRange::new(100, 700),   // duplicate: no dedup on this path
-            KeyRange::new(1500, 2047), // disjoint partition interval
-            KeyRange::new(-50, -1),    // below the domain
-            KeyRange::point(650),
-        ];
-        let mut counters = ProbeCounters::default();
-        let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_ranges_scalar(&ranges, &ProbeConfig::scalar(), &mut counters, |i, e| {
-            got[i].push(e)
-        });
-        for (range, entries) in ranges.iter().zip(&got) {
-            let mut scalar = Vec::new();
-            t.range_for_each(*range, |e| scalar.push(e));
-            assert_eq!(entries, &scalar, "range {range:?}");
-        }
-        // Interleaved start resolution answers the scalar path identically,
-        // range for range, in the same emission order.
-        for interleave in [2usize, 8] {
-            let mut il_counters = ProbeCounters::default();
-            let mut il: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-            let probe = ProbeConfig::scalar().with_interleave(interleave);
-            t.probe_ranges_scalar(&ranges, &probe, &mut il_counters, |i, e| il[i].push(e));
-            assert_eq!(il, got, "interleave {interleave}");
-            assert_eq!(il_counters.interleaved_batches, 1);
-            assert_eq!(il_counters.interleaved_descents, ranges.len() as u64);
-        }
-        assert!(
-            counters.ti_partition_locks <= t.partition_count() as u64,
-            "each partition locked at most once per call"
-        );
-        assert!(
-            counters.ti_partition_locks < counters.ti_range_visits,
-            "overlapping ranges must share partition locks ({} locks / {} visits)",
-            counters.ti_partition_locks,
-            counters.ti_range_visits
-        );
-        assert_eq!(counters.batches, 0, "the scalar path never group-descends");
-        assert_eq!(counters.dedup_hits, 0);
-        assert_eq!(counters.nodes_prefetched, 0);
-    }
-
-    #[test]
-    fn scalar_ranges_probe_degenerate_batches() {
-        let t = PimTree::new(config(256, 1.0, 2));
-        for i in 0..100i64 {
-            t.insert(i, i as Seq);
-        }
-        let mut counters = ProbeCounters::default();
-        t.probe_ranges_scalar(&[], &ProbeConfig::scalar(), &mut counters, |_, _| {
-            panic!("empty batch must not call back")
-        });
-        // A batch of one takes the plain scalar probe (nothing to batch).
-        let mut single = Vec::new();
-        t.probe_ranges_scalar(
-            &[KeyRange::new(10, 20)],
-            &ProbeConfig::scalar(),
-            &mut counters,
-            |i, e| {
-                assert_eq!(i, 0);
-                single.push(e);
-            },
-        );
-        assert_eq!(single.len(), 11);
-        assert_eq!(counters.ti_partition_locks, 0, "batch of one is unbatched");
     }
 
     #[test]
@@ -1189,6 +963,23 @@ mod tests {
             t.range_for_each(*range, |e| scalar.push(e));
             assert_eq!(entries, &scalar);
         }
+        assert!(counters.ti_partition_locks > 0);
+        // A batch of one takes the plain probe: nothing to group, so no
+        // partition-lock batching is recorded.
+        let mut counters = ProbeCounters::default();
+        let mut single = Vec::new();
+        t.probe_batch(
+            &[KeyRange::new(10, 20)],
+            &ProbeConfig::default(),
+            &mut counters,
+            |i, e| {
+                assert_eq!(i, 0);
+                single.push(e);
+            },
+        );
+        assert_eq!(single.len(), 11);
+        assert_eq!(counters.batches, 1);
+        assert_eq!(counters.ti_partition_locks, 0, "batch of one is unbatched");
     }
 
     #[test]

@@ -332,6 +332,11 @@ impl CssTree {
     /// miss. Finished descents are refilled from the remaining targets until
     /// the batch is drained.
     ///
+    /// The join engines do not call this: it is kept as a layer primitive
+    /// for the per-layer descent benchmark, which measures it against the
+    /// level-wise group descent. AMAC only pays off once the tree spills the
+    /// last-level cache.
+    ///
     /// `interleave` values below 2 are clamped to 2 (a single-slot ring
     /// cannot overlap anything); callers disable interleaving by calling the
     /// batch or scalar paths instead. Work is recorded into `counters`

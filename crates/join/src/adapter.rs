@@ -47,8 +47,7 @@ pub trait WindowIndexAdapter {
     /// The default implementation answers each range through the scalar
     /// probe (recorded in `counters.scalar_probes`); indexes with a genuine
     /// group probe — the PIM-Tree's prefetched CSS-Tree descent — override
-    /// it. `probe` carries the per-level prefetch lookahead and the
-    /// interleaved-descent ring width.
+    /// it. `probe` carries the per-level prefetch lookahead.
     fn probe_batch(
         &self,
         ranges: &[KeyRange],
@@ -59,30 +58,6 @@ pub trait WindowIndexAdapter {
         let _ = probe;
         for (i, &range) in ranges.iter().enumerate() {
             counters.scalar_probes += 1;
-            self.probe(range, &mut |e| f(i, e));
-        }
-    }
-
-    /// Scalar batch probe: answers each of `ranges` with one scalar descent
-    /// (no grouping, deduplication or prefetching), calling `f(i, entry)`
-    /// for candidate entries with key in `ranges[i]` in the same per-range
-    /// order as [`WindowIndexAdapter::probe`].
-    ///
-    /// The default implementation is exactly a loop of scalar probes;
-    /// indexes with partitioned mutable state — the PIM-Tree — override it
-    /// to batch the *partition routing* (one mutable-partition lock per
-    /// unique partition per call instead of one per range, recorded in
-    /// `counters.ti_partition_locks`) while keeping the per-range descents
-    /// scalar (or interleaving them when `probe.interleave >= 2`).
-    fn probe_ranges_scalar(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
-    ) {
-        let _ = (probe, counters);
-        for (i, &range) in ranges.iter().enumerate() {
             self.probe(range, &mut |e| f(i, e));
         }
     }
@@ -349,16 +324,6 @@ impl WindowIndexAdapter for PimTreeAdapter {
         self.tree.probe_batch(ranges, probe, counters, f);
     }
 
-    fn probe_ranges_scalar(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
-    ) {
-        self.tree.probe_ranges_scalar(ranges, probe, counters, f);
-    }
-
     fn maintain(&mut self, earliest_live: Seq) -> Option<MergeReport> {
         if self.tree.needs_merge() {
             Some(self.tree.merge(earliest_live))
@@ -575,34 +540,31 @@ mod tests {
         }
         let ranges = [
             KeyRange::new(50, 80),
-            KeyRange::new(50, 80), // duplicate
+            KeyRange::new(50, 80),  // duplicate
+            KeyRange::new(60, 160), // overlaps the first range's partitions
             KeyRange::new(-10, -1),
             KeyRange::new(290, 400),
         ];
         for a in adapters.iter() {
-            // Every adapter must answer identically at every ring width,
-            // interleaved or not (non-PIM backends simply ignore the knob).
-            for interleave in [0usize, 4, 8] {
-                let probe = ProbeConfig::default().with_interleave(interleave);
-                let mut counters = ProbeCounters::default();
-                let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-                a.probe_batch(&ranges, &probe, &mut counters, &mut |i, e| {
-                    batched[i].push(e)
-                });
-                for (range, got) in ranges.iter().zip(&batched) {
-                    let mut scalar = Vec::new();
-                    a.probe(*range, &mut |e| scalar.push(e));
-                    assert_eq!(
-                        got,
-                        &scalar,
-                        "{} range {range:?} interleave {interleave}",
-                        a.name()
-                    );
-                }
+            let mut counters = ProbeCounters::default();
+            let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
+            a.probe_batch(
+                &ranges,
+                &ProbeConfig::default(),
+                &mut counters,
+                &mut |i, e| batched[i].push(e),
+            );
+            for (range, got) in ranges.iter().zip(&batched) {
+                let mut scalar = Vec::new();
+                a.probe(*range, &mut |e| scalar.push(e));
+                assert_eq!(got, &scalar, "{} range {range:?}", a.name());
             }
         }
-        // The PIM-Tree adapter routes the batch through the real group probe.
-        let pim = PimTreeAdapter::new(pim_cfg);
+        // The PIM-Tree adapter routes the batch through the real group probe,
+        // which batches the mutable-side partition locks: the overlapping
+        // ranges above must share at least one acquisition.
+        let pim = &adapters[3];
+        assert_eq!(pim.name(), "pim-tree");
         let mut counters = ProbeCounters::default();
         pim.probe_batch(
             &ranges,
@@ -612,6 +574,8 @@ mod tests {
         );
         assert_eq!(counters.batches, 1);
         assert_eq!(counters.scalar_probes, 0);
+        assert!(counters.ti_range_visits > 0);
+        assert!(counters.ti_partition_locks <= counters.ti_range_visits);
         // The B+-Tree adapter falls back to scalar probes.
         let bt = BTreeAdapter::new();
         let mut counters = ProbeCounters::default();
@@ -622,78 +586,6 @@ mod tests {
             &mut |_, _| {},
         );
         assert_eq!(counters.scalar_probes, ranges.len() as u64);
-    }
-
-    #[test]
-    fn scalar_ranges_probe_matches_scalar_probe_for_every_adapter() {
-        let pim_cfg = PimConfig::for_window(256).with_insertion_depth(2);
-        let mut adapters: Vec<Box<dyn WindowIndexAdapter>> = vec![
-            Box::new(BTreeAdapter::new()),
-            Box::new(ChainedAdapter::new(ChainVariant::BChain, 256, 3)),
-            Box::new(ImTreeAdapter::new(pim_cfg)),
-            Box::new(PimTreeAdapter::new(pim_cfg)),
-            Box::new(BwTreeAdapter::new()),
-        ];
-        for a in adapters.iter_mut() {
-            for i in 0..256u64 {
-                a.insert(((i * 7) % 300) as Key, i);
-            }
-            a.maintain(0);
-            for i in 256..300u64 {
-                a.insert(((i * 7) % 300) as Key, i);
-            }
-        }
-        let ranges = [
-            KeyRange::new(50, 120),
-            KeyRange::new(80, 160), // overlaps the first range's partitions
-            KeyRange::new(-10, -1),
-            KeyRange::new(290, 400),
-        ];
-        for a in adapters.iter() {
-            for interleave in [0usize, 8] {
-                let probe = ProbeConfig::scalar().with_interleave(interleave);
-                let mut counters = ProbeCounters::default();
-                let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-                a.probe_ranges_scalar(&ranges, &probe, &mut counters, &mut |i, e| {
-                    batched[i].push(e)
-                });
-                for (range, got) in ranges.iter().zip(&batched) {
-                    let mut scalar = Vec::new();
-                    a.probe(*range, &mut |e| scalar.push(e));
-                    assert_eq!(
-                        got,
-                        &scalar,
-                        "{} range {range:?} interleave {interleave}",
-                        a.name()
-                    );
-                }
-                assert_eq!(
-                    counters.batches,
-                    0,
-                    "{}: the scalar path never group-descends",
-                    a.name()
-                );
-            }
-        }
-        // The PIM-Tree adapter batches the mutable-side partition locks; the
-        // overlapping ranges above must share at least one acquisition.
-        let pim = PimTreeAdapter::new(pim_cfg);
-        for i in 0..256u64 {
-            pim.tree().insert(((i * 7) % 300) as Key, i);
-        }
-        pim.tree().merge(0);
-        for i in 256..300u64 {
-            pim.tree().insert(((i * 7) % 300) as Key, i);
-        }
-        let mut counters = ProbeCounters::default();
-        pim.probe_ranges_scalar(
-            &ranges,
-            &ProbeConfig::scalar(),
-            &mut counters,
-            &mut |_, _| {},
-        );
-        assert!(counters.ti_range_visits > 0);
-        assert!(counters.ti_partition_locks <= counters.ti_range_visits);
     }
 
     #[test]

@@ -83,13 +83,6 @@ impl HandshakeJoin {
         self
     }
 
-    /// Overrides the driver batch size.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        assert!(batch >= 1);
-        self.batch_size = batch;
-        self
-    }
-
     /// Runs the join over a tuple sequence.
     pub fn run(&self, tuples: &[Tuple]) -> (JoinRunStats, Vec<JoinResult>) {
         let start = Instant::now();

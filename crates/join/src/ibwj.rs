@@ -142,12 +142,11 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
         self
     }
 
-    /// Overrides the probe tuning. With batching enabled (the default) each
-    /// tuple's probe goes through the index's batched API as a group of one —
-    /// which degenerates to the scalar descent (no sort/dedup/prefetch
-    /// overhead) but keeps the probe counters and exercises the exact entry
-    /// point the parallel engine batches across a whole task; disabling it
-    /// restores the plain scalar probe call unchanged.
+    /// Overrides the probe tuning. Each tuple's probe goes through the
+    /// index's batched API as a group of one — which degenerates to the
+    /// single-range descent (no sort/dedup/prefetch overhead) but keeps the
+    /// probe counters and exercises the exact entry point the parallel
+    /// engine batches across a whole task.
     pub fn with_probe_config(mut self, probe: ProbeConfig) -> Self {
         probe.validate().expect("invalid probe configuration");
         self.probe = probe;
@@ -210,34 +209,13 @@ impl<A: WindowIndexAdapter> SingleThreadJoin for IbwjOperator<A> {
                     ));
                 }
             }
-        } else if self.probe.batch {
+        } else {
             // A group of one through the batched entry point: the PIM-Tree
-            // answers it with its scalar fast path, so this differs from the
-            // scalar branch only in the counters — but it keeps the
-            // single-threaded engine on the same API the parallel engine
-            // batches across a whole task.
+            // answers it with its single-range fast path, but the
+            // single-threaded engine stays on the same API the parallel
+            // engine batches across a whole task.
             let indexes = &self.indexes;
             indexes[probe_idx].probe_batch(
-                std::slice::from_ref(&range),
-                &self.probe,
-                &mut self.probe_counters,
-                &mut |_, e| {
-                    if probe_bounds.contains(e.seq) {
-                        out.push(JoinResult::new(
-                            tuple,
-                            Tuple::new(matched_side, e.seq, e.key),
-                        ));
-                    }
-                },
-            );
-        } else {
-            // A group of one through the scalar-batch entry point: it
-            // degenerates to the plain scalar probe (no partition-lock
-            // grouping for a single range, no counters touched), but keeps
-            // the single-threaded engine on the same API the parallel
-            // engine's scalar path batches across a whole task.
-            let indexes = &self.indexes;
-            indexes[probe_idx].probe_ranges_scalar(
                 std::slice::from_ref(&range),
                 &self.probe,
                 &mut self.probe_counters,
@@ -451,6 +429,9 @@ mod tests {
         assert_eq!(canonical(&results), expected);
     }
 
+    /// The PIM-Tree's batched probe and the per-range scalar fallback of
+    /// every other index agree with the oracle on a duplicate-heavy stream,
+    /// and each path records itself in the probe counters.
     #[test]
     fn batched_and_scalar_probe_paths_agree_for_every_index_kind() {
         let tuples = random_tuples(2500, 60, 15); // small domain: many dup keys
@@ -464,27 +445,16 @@ mod tests {
             IndexKind::PimTree,
             IndexKind::BwTree,
         ] {
-            let mut config = config_with(kind, w);
-            config.probe = pimtree_common::ProbeConfig::default();
-            let mut batched = build_single_threaded(&config, predicate, false);
-            config.probe = pimtree_common::ProbeConfig::scalar();
-            let mut scalar = build_single_threaded(&config, predicate, false);
-            let (batched_stats, batched_results) = batched.run(&tuples, true);
-            let (scalar_stats, scalar_results) = scalar.run(&tuples, true);
-            assert_eq!(canonical(&batched_results), expected, "batched {kind}");
-            assert_eq!(canonical(&scalar_results), expected, "scalar {kind}");
-            assert_eq!(
-                scalar_stats.probe,
-                Default::default(),
-                "scalar path must not touch probe counters ({kind})"
-            );
+            let mut op = build_single_threaded(&config_with(kind, w), predicate, false);
+            let (stats, results) = op.run(&tuples, true);
+            assert_eq!(canonical(&results), expected, "{kind}");
             match kind {
                 IndexKind::PimTree => {
-                    assert_eq!(batched_stats.probe.batches, tuples.len() as u64);
-                    assert_eq!(batched_stats.probe.scalar_probes, 0);
+                    assert_eq!(stats.probe.batches, tuples.len() as u64);
+                    assert_eq!(stats.probe.scalar_probes, 0);
                 }
                 _ => assert_eq!(
-                    batched_stats.probe.scalar_probes,
+                    stats.probe.scalar_probes,
                     tuples.len() as u64,
                     "{kind} has no batched path and falls back per probe"
                 ),

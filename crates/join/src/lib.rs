@@ -36,11 +36,11 @@
 //! The operators consume a pre-generated, interleaved tuple sequence (see
 //! `pimtree-workload`) and produce band-join results in arrival order.
 //!
-//! Result generation in both engines defaults to the **batched CSS group
-//! probe** (`ProbeConfig` in `pimtree-common`): a task's probe keys are
-//! sorted, deduplicated and resolved by one software-prefetched level-wise
-//! descent of the immutable index instead of one root-to-leaf walk per
-//! tuple. `ProbeConfig::scalar()` restores the original per-tuple path.
+//! Result generation in both engines goes through the **batched CSS group
+//! probe** (`ProbeConfig` in `pimtree-common` tunes its prefetching): a
+//! task's probe keys are sorted, deduplicated and resolved by one
+//! software-prefetched level-wise descent of the immutable index instead of
+//! one root-to-leaf walk per tuple.
 
 #![warn(missing_docs)]
 

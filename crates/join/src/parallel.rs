@@ -10,10 +10,9 @@
 //!    window captured at ingestion,
 //! 2. **generates results** by probing the opposite index for the already
 //!    indexed window prefix and linearly scanning the window suffix past the
-//!    *edge tuple* (the earliest non-indexed tuple) — by default the task's
-//!    probe keys are sorted, deduplicated and answered with one software-
-//!    prefetched CSS-Tree group descent per side (`generate_batched`;
-//!    [`ProbeConfig`] switches back to the scalar per-tuple path),
+//!    *edge tuple* (the earliest non-indexed tuple) — the task's probe keys
+//!    are sorted, deduplicated and answered with one software-prefetched
+//!    CSS-Tree group descent per side ([`ProbeConfig`] tunes the prefetch),
 //! 3. **publishes results** with one release store per slot (no lock), and
 //!    **updates the index** with its tuples, trying to advance the edge, and
 //! 4. **propagates results** of the completed ring prefix in arrival order:
@@ -1157,10 +1156,9 @@ fn process_task(
 }
 
 /// Result generation: the whole task's probes are gathered per probe side and
-/// answered through the store — the batched CSS group descent or the scalar
-/// per-range path ([`pimtree_common::ProbeConfig::batch`]), against the shared
-/// index/window pair or fanned out across the store shards overlapping each
-/// band-join range.
+/// answered through the store with one batched CSS group descent, against the
+/// shared index/window pair or fanned out across the store shards
+/// overlapping each band-join range.
 ///
 /// Each tuple's edge snapshot is taken inside the store *before* the index
 /// probe it covers and used for both the index filter and the window-scan
@@ -1225,6 +1223,7 @@ fn generate(
         local.bytes_stored += count * std::mem::size_of::<JoinResult>() as u64;
         local.results += count;
         local.tuples += 1;
+        local.breakdown.tuples += 1;
         shared.ring.complete(task_shard, gid, count, results);
     }
 }
@@ -1773,7 +1772,7 @@ fn maybe_merge(
 mod tests {
     use super::*;
     use crate::reference::{canonical, reference_join};
-    use pimtree_common::{IndexKind, PimConfig, RingConfig, ShardConfig};
+    use pimtree_common::{IndexKind, PimConfig, RingConfig, ShardConfig, Step};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -2046,10 +2045,12 @@ mod tests {
         assert!(stats.ring.mean_task_size() > 0.0);
     }
 
-    /// The tentpole differential: the batched group probe and the scalar
-    /// probe must produce the exact same result set under both merge
-    /// policies and both shared-index backends, and only the batched run may
-    /// touch the probe-batch counters.
+    /// The batched group probe (PIM-Tree backend) and the per-range scalar
+    /// fallback (Bw-Tree backend, which has no group descent) must produce
+    /// the oracle's result set under both merge policies, and each path must
+    /// record itself in the probe counters. The per-tuple step costs are
+    /// normalised by the tuples the run processed, so the index search and
+    /// the window scan of the §4.1 edge split both read non-zero.
     #[test]
     fn batched_probe_matches_scalar_and_reference() {
         let tuples = random_tuples(5000, 400, 81);
@@ -2059,49 +2060,35 @@ mod tests {
         for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
             for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
                 for threads in [1usize, 4] {
-                    let base = config(128, threads, 4, 0.5, policy);
-                    let batched = ParallelIbwj::new(
-                        base.with_probe(ProbeConfig::default()),
+                    let op = ParallelIbwj::new(
+                        config(128, threads, 4, 0.5, policy),
                         predicate,
                         kind,
                         false,
                     )
                     .with_collected_results(true);
-                    let scalar = ParallelIbwj::new(
-                        base.with_probe(ProbeConfig::scalar()),
-                        predicate,
-                        kind,
-                        false,
-                    )
-                    .with_collected_results(true);
-                    let (batched_stats, batched_results) = batched.run(&tuples);
-                    let (scalar_stats, scalar_results) = scalar.run(&tuples);
+                    let (stats, results) = op.run(&tuples);
                     let label = format!("{policy:?}/{kind:?}/{threads}T");
-                    assert_eq!(canonical(&batched_results), expected, "batched {label}");
-                    assert_eq!(canonical(&scalar_results), expected, "scalar {label}");
-                    // The scalar path never group-descends, dedups or
-                    // prefetches; its only counters are the batched TI
-                    // partition locks (the ROADMAP's scalar partition-routing
-                    // follow-up), and those only for the PIM-Tree backend.
-                    assert_eq!(scalar_stats.probe.batches, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.batched_keys, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.dedup_hits, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.nodes_prefetched, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.scalar_probes, 0, "{label}");
+                    assert_eq!(canonical(&results), expected, "{label}");
+                    assert_eq!(stats.breakdown.tuples, 5000, "{label}");
+                    assert!(
+                        stats.breakdown.per_tuple_nanos(Step::Search) > 0.0,
+                        "{label}"
+                    );
+                    assert!(stats.breakdown.per_tuple_nanos(Step::Scan) > 0.0, "{label}");
                     if kind == SharedIndexKind::PimTree {
+                        assert!(stats.probe.batches > 0, "{label}");
+                        assert_eq!(stats.probe.scalar_probes, 0, "{label}");
                         assert!(
-                            scalar_stats.probe.ti_partition_locks
-                                <= scalar_stats.probe.ti_range_visits,
-                            "scalar TI partition locks are shared per task ({label})"
+                            stats.probe.ti_partition_locks <= stats.probe.ti_range_visits,
+                            "TI partition locks are shared per task ({label})"
                         );
-                        assert!(batched_stats.probe.batches > 0, "batched {label}");
-                        assert_eq!(batched_stats.probe.scalar_probes, 0, "{label}");
                     } else {
-                        assert_eq!(scalar_stats.probe.ti_partition_locks, 0, "{label}");
-                        // The Bw-Tree has no batched path: every probe of a
-                        // batched run falls back to the scalar probe.
-                        assert_eq!(batched_stats.probe.batches, 0, "{label}");
-                        assert!(batched_stats.probe.scalar_probes > 0, "{label}");
+                        // Every probe of the Bw-Tree falls back to the
+                        // scalar per-range probe.
+                        assert_eq!(stats.probe.batches, 0, "{label}");
+                        assert!(stats.probe.scalar_probes > 0, "{label}");
+                        assert_eq!(stats.probe.ti_partition_locks, 0, "{label}");
                     }
                 }
             }
@@ -2142,21 +2129,16 @@ mod tests {
         let predicate = BandPredicate::new(100); // ranges always overflow the domain
         for w in [1usize, 4096] {
             let expected = canonical(&reference_join(&tuples, predicate, w, w, false));
-            for probe in [
-                ProbeConfig::default(),
-                ProbeConfig::default().with_interleave(8),
-                ProbeConfig::scalar(),
-                ProbeConfig::scalar().with_interleave(8),
-            ] {
+            for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
                 let op = ParallelIbwj::new(
-                    config(w, 2, 4, 1.0, MergePolicy::NonBlocking).with_probe(probe),
+                    config(w, 2, 4, 1.0, MergePolicy::NonBlocking),
                     predicate,
-                    SharedIndexKind::PimTree,
+                    kind,
                     false,
                 )
                 .with_collected_results(true);
                 let (_, results) = op.run(&tuples);
-                assert_eq!(canonical(&results), expected, "w={w}, probe={probe:?}");
+                assert_eq!(canonical(&results), expected, "w={w}, {kind:?}");
             }
         }
     }
@@ -2297,93 +2279,6 @@ mod tests {
         {
             Some(n) => vec![n],
             None => vec![1, 2, 4],
-        }
-    }
-
-    /// The interleave widths the AMAC differential tests sweep. CI's
-    /// interleave leg pins a single ring width via `PIMTREE_TEST_INTERLEAVE`;
-    /// local runs sweep a narrow and a deep ring.
-    fn interleave_sweep() -> Vec<usize> {
-        match std::env::var("PIMTREE_TEST_INTERLEAVE")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            Some(n) => vec![n],
-            None => vec![2, 8],
-        }
-    }
-
-    /// AMAC differential: the interleaved descent ring must produce the
-    /// exact same result set as the batched group probe, the scalar probe
-    /// and the brute-force oracle, under both merge policies and both
-    /// shared-index backends.
-    #[test]
-    fn interleaved_probe_matches_batched_scalar_and_reference() {
-        let tuples = random_tuples(5000, 400, 116);
-        let predicate = BandPredicate::new(2);
-        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
-        assert!(!expected.is_empty());
-        for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
-            for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
-                for k in interleave_sweep() {
-                    let cfg = config(128, 4, 4, 0.5, policy)
-                        .with_probe(ProbeConfig::default().with_interleave(k));
-                    let op =
-                        ParallelIbwj::new(cfg, predicate, kind, false).with_collected_results(true);
-                    let (stats, results) = op.run(&tuples);
-                    let label = format!("{policy:?}/{kind:?}/K={k}");
-                    assert_eq!(canonical(&results), expected, "{label}");
-                    if kind == SharedIndexKind::PimTree && k >= 2 {
-                        assert!(stats.probe.interleaved_batches > 0, "{label}");
-                        assert!(
-                            stats.probe.interleaved_descents >= stats.probe.interleaved_batches,
-                            "{label}"
-                        );
-                        assert!(
-                            stats.probe.interleave_steps >= stats.probe.interleaved_descents,
-                            "{label}"
-                        );
-                        assert_eq!(stats.probe.scalar_probes, 0, "{label}");
-                    } else {
-                        // The Bw-Tree backend has no batched descent at all;
-                        // an interleave-off run uses the batched group probe.
-                        assert_eq!(stats.probe.interleaved_batches, 0, "{label}");
-                        assert_eq!(stats.probe.interleave_steps, 0, "{label}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// AMAC differential across shard counts and both store modes: the
-    /// interleaved ring must survive sub-range splitting (partitioned
-    /// stores probe per-shard segments) without changing a single result.
-    #[test]
-    fn interleaved_probe_sharded_both_store_modes_matches_reference() {
-        let tuples = self_join_tuples(4000, 250, 117);
-        let predicate = BandPredicate::new(1);
-        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, true));
-        assert!(!expected.is_empty());
-        for shards in shard_sweep() {
-            for partition_index in [false, true] {
-                for k in interleave_sweep() {
-                    let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
-                        .with_probe(ProbeConfig::default().with_interleave(k))
-                        .with_shard(
-                            ShardConfig::default()
-                                .with_shards(shards)
-                                .with_partition_index(partition_index),
-                        );
-                    let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
-                        .with_collected_results(true);
-                    let (stats, results) = op.run(&tuples);
-                    let label = format!("shards {shards}, partitioned {partition_index}, K={k}");
-                    assert_eq!(canonical(&results), expected, "{label}");
-                    if k >= 2 {
-                        assert!(stats.probe.interleaved_batches > 0, "{label}");
-                    }
-                }
-            }
         }
     }
 
@@ -2757,8 +2652,10 @@ mod tests {
         }
     }
 
-    /// Partitioned-store self-join through both probe paths (batched and
-    /// scalar), with tiny per-shard rings.
+    /// Self-join through both probe paths — the PIM-Tree's group descent and
+    /// the Bw-Tree's per-range fallback — across shard counts and both store
+    /// layouts, with tiny per-shard rings: partitioned stores split each
+    /// batch into per-shard sub-batches without changing a single result.
     #[test]
     fn partitioned_store_self_join_both_probe_paths() {
         let tuples = self_join_tuples(4000, 250, 114);
@@ -2766,32 +2663,28 @@ mod tests {
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, true));
         assert!(!expected.is_empty());
         for shards in shard_sweep() {
-            for probe in [
-                ProbeConfig::default(),
-                ProbeConfig::default().with_interleave(8),
-                ProbeConfig::scalar(),
-                ProbeConfig::scalar().with_interleave(8),
-            ] {
-                let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
-                    .with_probe(probe)
-                    .with_ring(
-                        RingConfig::default()
-                            .with_capacity(64)
-                            .with_backoff(2, 4, 10),
-                    )
-                    .with_shard(
-                        ShardConfig::default()
-                            .with_shards(shards)
-                            .with_partition_index(true),
+            for partition_index in [false, true] {
+                for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
+                    let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
+                        .with_ring(
+                            RingConfig::default()
+                                .with_capacity(64)
+                                .with_backoff(2, 4, 10),
+                        )
+                        .with_shard(
+                            ShardConfig::default()
+                                .with_shards(shards)
+                                .with_partition_index(partition_index),
+                        );
+                    let op =
+                        ParallelIbwj::new(cfg, predicate, kind, true).with_collected_results(true);
+                    let (_, results) = op.run(&tuples);
+                    assert_eq!(
+                        canonical(&results),
+                        expected,
+                        "shards {shards}, partitioned {partition_index}, {kind:?}"
                     );
-                let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
-                    .with_collected_results(true);
-                let (_, results) = op.run(&tuples);
-                assert_eq!(
-                    canonical(&results),
-                    expected,
-                    "shards {shards}, probe {probe:?}"
-                );
+                }
             }
         }
     }

@@ -120,26 +120,6 @@ impl StoreIndex {
         }
     }
 
-    /// Scalar batch probe: one scalar descent per range, with the PIM-Tree's
-    /// mutable-side partition routing batched (one partition lock per unique
-    /// partition per call).
-    fn probe_ranges_scalar(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut pimtree_common::ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
-    ) {
-        match self {
-            StoreIndex::Pim(t) => t.probe_ranges_scalar(ranges, probe, counters, &mut *f),
-            StoreIndex::Bw(t) => {
-                for (i, &range) in ranges.iter().enumerate() {
-                    t.range_for_each(range, &mut |e| f(i, e));
-                }
-            }
-        }
-    }
-
     fn needs_merge(&self) -> bool {
         match self {
             StoreIndex::Pim(t) => t.needs_merge(),
@@ -450,11 +430,7 @@ fn probe_shard_segments(
                 f(j, e.seq, e.key);
             }
         };
-        if probe.batch {
-            shard.indexes[side].probe_batch(sub_ranges, probe, probe_counters, &mut cb);
-        } else {
-            shard.indexes[side].probe_ranges_scalar(sub_ranges, probe, probe_counters, &mut cb);
-        }
+        shard.indexes[side].probe_batch(sub_ranges, probe, probe_counters, &mut cb);
     }
     let search_nanos = search_start.elapsed().as_nanos() as u64;
     let scan_start = Instant::now();
@@ -891,11 +867,12 @@ impl ShardStore {
     /// once via `f(j, seq, key)` — through the index below the (per-shard)
     /// edge snapshot, through the linear window scan above it (§4.1).
     ///
-    /// `probe.batch` selects the grouped CSS descent or the scalar per-range
-    /// path. Under the partitioned layout the probe fans out across exactly
-    /// the shards overlapping each range (recorded in `stats.store`, charged
-    /// local/remote against `home`). Search/scan timings, probe counters and
-    /// the logical bytes loaded are recorded into `stats`.
+    /// The index side is one grouped CSS descent per (sub-)batch; `probe`
+    /// tunes its prefetching. Under the partitioned layout the probe fans
+    /// out across exactly the shards overlapping each range (recorded in
+    /// `stats.store`, charged local/remote against `home`). Search/scan
+    /// timings, probe counters and the logical bytes loaded are recorded
+    /// into `stats`.
     #[allow(clippy::too_many_arguments)] // one internal call site in the engine
     pub(crate) fn generate(
         &self,
@@ -955,11 +932,7 @@ impl ShardStore {
                     f(j, e.seq, e.key);
                 }
             };
-            if probe.batch {
-                state.indexes[side].probe_batch(ranges, probe, &mut stats.probe, &mut cb);
-            } else {
-                state.indexes[side].probe_ranges_scalar(ranges, probe, &mut stats.probe, &mut cb);
-            }
+            state.indexes[side].probe_batch(ranges, probe, &mut stats.probe, &mut cb);
         }
         stats
             .breakdown

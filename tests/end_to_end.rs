@@ -92,9 +92,10 @@ fn all_operators_agree_on_the_same_workload() {
 
 #[test]
 fn batched_and_scalar_probe_agree_end_to_end() {
-    // The batched, prefetched CSS group probe is a pure performance
-    // optimisation: across engines, thread counts and probe tunings the
-    // result set must be exactly the scalar path's (and the oracle's).
+    // The batched, prefetched CSS group probe (PIM-Tree) is a pure
+    // performance optimisation: across engines, thread counts and prefetch
+    // distances its result set must be exactly the oracle's, and so must the
+    // per-range scalar probe of the Bw-Tree, which has no group descent.
     let w = 160usize;
     let tuples = mixed_tuples(4500, 350, 123);
     let predicate = BandPredicate::new(2);
@@ -106,32 +107,44 @@ fn batched_and_scalar_probe_agree_end_to_end() {
     pim.css_fanout = 8;
     pim.css_leaf_size = 8;
     pim.btree_fanout = 8;
-    for probe in [
-        ProbeConfig::default(),
-        ProbeConfig::default().with_prefetch_dist(0),
-        ProbeConfig::default().with_prefetch_dist(64),
-        ProbeConfig::scalar(),
-    ] {
-        let config = JoinConfig::symmetric(w, IndexKind::PimTree)
+    let arms = [
+        (IndexKind::PimTree, ProbeConfig::default()),
+        (
+            IndexKind::PimTree,
+            ProbeConfig::default().with_prefetch_dist(0),
+        ),
+        (
+            IndexKind::PimTree,
+            ProbeConfig::default().with_prefetch_dist(64),
+        ),
+        (IndexKind::BwTree, ProbeConfig::default()),
+    ];
+    for (kind, probe) in arms {
+        let config = JoinConfig::symmetric(w, kind)
             .with_pim(pim)
             .with_probe(probe);
         let mut st = build_single_threaded(&config, predicate, false);
         let (_, results) = st.run(&tuples, true);
-        assert_eq!(canonical(&results), expected, "single-threaded {probe:?}");
+        assert_eq!(
+            canonical(&results),
+            expected,
+            "single-threaded {kind} {probe:?}"
+        );
+        let shared_kind = match kind {
+            IndexKind::PimTree => SharedIndexKind::PimTree,
+            _ => SharedIndexKind::BwTree,
+        };
         for threads in [1usize, 4] {
             let config = config.with_threads(threads).with_task_size(5);
-            let op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
+            let op = ParallelIbwj::new(config, predicate, shared_kind, false)
                 .with_collected_results(true);
             let (stats, results) = op.run(&tuples);
-            assert_eq!(
-                canonical(&results),
-                expected,
-                "parallel {threads}T {probe:?}"
-            );
-            if probe.batch {
-                assert!(stats.probe.batches > 0, "parallel {threads}T {probe:?}");
+            let label = format!("parallel {threads}T {kind} {probe:?}");
+            assert_eq!(canonical(&results), expected, "{label}");
+            if kind == IndexKind::PimTree {
+                assert!(stats.probe.batches > 0, "{label}");
             } else {
-                assert_eq!(stats.probe.batches, 0, "parallel {threads}T {probe:?}");
+                assert!(stats.probe.scalar_probes > 0, "{label}");
             }
         }
     }
